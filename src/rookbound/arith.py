@@ -223,10 +223,6 @@ class IntPolynomial:
         return f"IntPolynomial({self.coeffs!r})"
 
 
-def poly_trailing_degree(p: IntPolynomial) -> ExtendedInt:
-    return p.trailing_degree()
-
-
 def binomial(a: int, b: int) -> int:
     if a < 0 or b < 0 or a < b:
         raise ValueError(f"binomial({a},{b}) requires a >= b >= 0")

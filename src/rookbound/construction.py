@@ -17,15 +17,16 @@ from dataclasses import dataclass
 
 from .bounds import kappa
 from .diagrams import FerrersDiagram, diagonal_profile, parse_diagram, transpose
-from .errors import BudgetExceeded, HypothesisViolation
+from .errors import HypothesisViolation
 from .gfmatrix import (
     FieldTable,
     SupportedMatrix,
+    _check_projective_budget,
+    _first_witness,
+    _iter_projective_rows,
+    _iter_random_rows,
     _rank_of_rows,
-    combo_budget,
     field_table,
-    iter_projective_ranks,
-    projective_count,
 )
 
 
@@ -46,27 +47,6 @@ class RSCode:
     min_dist: int
     dimension: int
     generator: tuple[tuple[int, ...], ...]
-
-    def codewords(self):
-        """All q^k codewords; intended for small exhaustive checks."""
-        field = self.field
-        q = field.q
-        k = self.dimension
-        coeffs = [0] * k
-        while True:
-            word = [0] * self.length
-            for t, c in enumerate(coeffs):
-                if c:
-                    row = self.generator[t]
-                    word = [field.add(w, field.mul(c, g)) for w, g in zip(word, row)]
-            yield tuple(word)
-            pos = k - 1
-            while pos >= 0 and coeffs[pos] == q - 1:
-                coeffs[pos] = 0
-                pos -= 1
-            if pos < 0:
-                return
-            coeffs[pos] += 1
 
 
 def rs_code(q: int | FieldTable, length: int, min_dist: int) -> RSCode:
@@ -170,52 +150,28 @@ def verify_space(
     Exhaustive over one representative per projective point, in a fixed
     lexicographic order, so a failing run always reports the same first
     witness.  When the combination count exceeds the budget, refuses
-    unless a sample size was requested explicitly.
+    unless a sample size was requested explicitly; with one, checks that
+    many seeded random nonzero combinations instead.
     """
     if space.dimension == 0:
         return VerifyReport(True, "exhaustive", 0, True, None, None)
     field = space.field
     vectors = [list(mat.to_vector()) for mat in space.basis]
     independent = _rank_of_rows([v[:] for v in vectors], field) == len(vectors)
-    budget = combo_budget() if max_combinations is None else max_combinations
-    combos = projective_count(space.q, space.dimension)
-    if combos > budget and sample is None:
-        raise BudgetExceeded(
-            f"{combos} projective combinations exceed the budget {budget}; "
-            "pass a sample size for a randomized check"
+    if sample is None:
+        _check_projective_budget(
+            space.q, space.dimension, max_combinations,
+            "; pass a sample size for a randomized check",
         )
-    if combos <= budget and sample is None:
-        checked = 0
-        for coeffs, rank in iter_projective_ranks(space.basis):
-            checked += 1
-            if rank < space.d:
-                return VerifyReport(False, "exhaustive", checked, independent, coeffs, rank)
-        return VerifyReport(independent, "exhaustive", checked, independent, None, None)
-    rng = random.Random(seed)
-    q = space.q
-    k = space.dimension
-    checked = 0
-    for _ in range(sample):
-        coeffs = [0] * k
-        while not any(coeffs):
-            coeffs = [rng.randrange(q) for _ in range(k)]
-        acc = None
-        for c, mat in zip(coeffs, space.basis):
-            if not c:
-                continue
-            rows = [[field.mul(c, v) for v in row] for row in mat.rows]
-            if acc is None:
-                acc = rows
-            else:
-                acc = [
-                    [field.add(a, b) for a, b in zip(ra, rb)]
-                    for ra, rb in zip(acc, rows)
-                ]
-        checked += 1
-        rank = _rank_of_rows(acc, field)
-        if rank < space.d:
-            return VerifyReport(False, "sampled", checked, independent, tuple(coeffs), rank, seed)
-    return VerifyReport(independent, "sampled", checked, independent, None, None, seed)
+        mode, combinations = "exhaustive", _iter_projective_rows(space.basis)
+    else:
+        mode = "sampled"
+        combinations = _iter_random_rows(space.basis, sample, random.Random(seed))
+    checked, coeffs, rank = _first_witness(combinations, field, space.d)
+    return VerifyReport(
+        coeffs is None and independent, mode, checked, independent, coeffs, rank,
+        None if sample is None else seed,
+    )
 
 
 def optimality_check(space: ConstructedSpace) -> bool:
@@ -244,6 +200,9 @@ def space_to_json(space: ConstructedSpace) -> dict:
 
 
 def space_from_json(data: dict) -> ConstructedSpace:
+    missing = [key for key in ("diagram", "q", "d", "basis") if key not in data]
+    if missing:
+        raise HypothesisViolation(f"space JSON lacks the keys {missing}")
     diagram = parse_diagram(data["diagram"])
     field = field_table(int(data["q"]))
     basis = []

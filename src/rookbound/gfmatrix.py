@@ -12,6 +12,12 @@ Two independent routes produce the rank census of F_q[F]:
 
 Their agreement on every board small enough to enumerate is what makes
 the polynomial route trustworthy on boards that are not.
+
+Every rank question about a span takes one route: _first_witness, the
+one scan, ranks combinations with _rank_of_rows, the one kernel, up to
+the first of rank < d.  estimate_density and both modes of
+construction.verify_space run through it; min_rank walks the same
+_iter_projective_rows with the same kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .arith import NEG_INFINITY, IntPolynomial
 from .diagrams import FerrersDiagram
@@ -36,12 +42,19 @@ DEFAULT_COMBO_BUDGET = 1 << 23
 PRNG_NAME = "python-random/MT19937"
 
 
+def _env_budget(name: str, default: int) -> int:
+    raw = os.environ.get(name, str(default))
+    if not raw.strip().isdecimal():
+        raise HypothesisViolation(f"{name} must be a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
 def enum_budget() -> int:
-    return int(os.environ.get("ROOKBOUND_MAX_ENUM", DEFAULT_ENUM_BUDGET))
+    return _env_budget("ROOKBOUND_MAX_ENUM", DEFAULT_ENUM_BUDGET)
 
 
 def combo_budget() -> int:
-    return int(os.environ.get("ROOKBOUND_MAX_COMBOS", DEFAULT_COMBO_BUDGET))
+    return _env_budget("ROOKBOUND_MAX_COMBOS", DEFAULT_COMBO_BUDGET)
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -276,9 +289,6 @@ class FieldTable:
             e >>= 1
         return result
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def __repr__(self):
         return f"FieldTable(GF({self.q}))"
 
@@ -328,14 +338,6 @@ class SupportedMatrix:
     def to_vector(self) -> tuple[int, ...]:
         return tuple(self.rows[i - 1][j - 1] for i, j in self.diagram.cells())
 
-    def support(self) -> frozenset:
-        return frozenset(
-            (i + 1, j + 1)
-            for i, row in enumerate(self.rows)
-            for j, v in enumerate(row)
-            if v
-        )
-
 
 def _rank_of_rows(
     rows: list[list[int]], field: FieldTable, stop_at: int | None = None
@@ -345,7 +347,7 @@ def _rank_of_rows(
     With stop_at, elimination halts once that many pivots are found, so
     the return value is min(rank, stop_at).
     """
-    sub, mul, inv_ = field.sub, field.mul, field.inv
+    add, neg, mul, inv_ = field.add, field.neg, field.mul, field.inv
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     limit = nrows if stop_at is None else min(nrows, stop_at)
@@ -367,7 +369,8 @@ def _rank_of_rows(
         for r in range(rank + 1, nrows):
             c = rows[r][col]
             if c:
-                rows[r] = [sub(a, mul(c, b)) for a, b in zip(rows[r], head)]
+                c = neg(c)
+                rows[r] = [add(a, mul(c, b)) for a, b in zip(rows[r], head)]
         rank += 1
         if rank >= limit:
             break
@@ -453,11 +456,15 @@ def brute_force_census(
     """Exact rank census of F_q[F] by enumerating all q^|F| matrices.
 
     This is the oracle: it never consults the placement-sum polynomials.
-    Refuses to start when q^|F| exceeds the budget.  With jobs > 1 the
-    work is sharded over the first column's values; shard results merge
-    by addition, so the outcome is identical for any worker count.
+    Refuses to start when q^|F| exceeds the budget, or when jobs lies
+    outside 1..os.cpu_count().  With jobs > 1 the work is sharded over
+    the first column's values; shard results merge by addition, so the
+    outcome is identical for any worker count.
     """
     field_table(q)  # validates q is a prime power within range
+    cpus = os.cpu_count() or 1
+    if not isinstance(jobs, int) or not 1 <= jobs <= cpus:
+        raise HypothesisViolation(f"jobs={jobs!r} outside 1..{cpus}, the CPU count")
     budget = enum_budget() if max_total is None else max_total
     total = q**diagram.size
     if total > budget:
@@ -466,7 +473,7 @@ def brute_force_census(
             f"budget is {budget}"
         )
     first = len(_column_vectors(q, diagram.cols[0]))
-    if jobs <= 1:
+    if jobs == 1:
         merged = _census_worker(diagram.cols, q, (0, first))
     else:
         step = -(-first // jobs)
@@ -552,6 +559,26 @@ def degree_recursion_check(diagram: FerrersDiagram, r: int) -> RecursionReport:
     return RecursionReport(diagram, r, lhs, rhs, lhs == rhs)
 
 
+def projective_count(q: int, k: int) -> int:
+    return (q**k - 1) // (q - 1)
+
+
+def _check_projective_budget(
+    q: int, k: int, max_combinations: int | None, hint: str = ""
+) -> int:
+    """Validate q, then refuse a k-dimensional span whose projective
+    points exceed max_combinations, or combo_budget() when that is None.
+    Returns the budget applied."""
+    factor_prime_power(q)
+    budget = combo_budget() if max_combinations is None else max_combinations
+    combos = projective_count(q, k)
+    if combos > budget:
+        raise BudgetExceeded(
+            f"{combos} projective combinations exceed the budget {budget}{hint}"
+        )
+    return budget
+
+
 def sample_subspace(
     diagram: FerrersDiagram,
     q: int,
@@ -571,12 +598,7 @@ def sample_subspace(
     size = diagram.size
     if not 1 <= k <= size:
         raise HypothesisViolation(f"k={k} outside 1..|F|={size}")
-    budget = combo_budget() if max_combinations is None else max_combinations
-    combos = projective_count(q, k)
-    if combos > budget:
-        raise BudgetExceeded(
-            f"{combos} projective combinations exceed the budget {budget}"
-        )
+    _check_projective_budget(q, k, max_combinations)
     if rng is None:
         rng = random.Random(seed)
     while True:
@@ -585,13 +607,26 @@ def sample_subspace(
             return [SupportedMatrix.from_vector(field, diagram, row) for row in mat]
 
 
-def _nonzero_triples(matrix: SupportedMatrix) -> list[tuple[int, int, int]]:
-    return [
-        (i, j, v)
-        for i, row in enumerate(matrix.rows)
-        for j, v in enumerate(row)
-        if v
+def _combination_builder(basis: Sequence[SupportedMatrix]):
+    """Return add_multiple(rows, t, c), which adds c * basis[t] into rows
+    in place.  The nonzero cells of each multiple are computed when first
+    needed and memoised per (t, c): a scan over a large field touches few
+    of the q multiples."""
+    add, mul = basis[0].field.add, basis[0].field.mul
+    cells = [
+        [(i, j, v) for i, row in enumerate(b.rows) for j, v in enumerate(row) if v]
+        for b in basis
     ]
+    memo: list[dict] = [{} for _ in basis]
+
+    def add_multiple(rows: list[list[int]], t: int, c: int) -> None:
+        scaled = memo[t].get(c)
+        if scaled is None:
+            scaled = memo[t][c] = tuple((i, j, mul(c, v)) for i, j, v in cells[t])
+        for i, j, v in scaled:
+            rows[i][j] = add(rows[i][j], v)
+
+    return add_multiple
 
 
 def _iter_projective_rows(
@@ -602,23 +637,14 @@ def _iter_projective_rows(
     coefficient is pinned to 1 and the remaining ones run through GF(q)
     in counting order, so the stream is lexicographic and deterministic.
 
-    The combination matrix is updated incrementally digit by digit and
-    is borrowed: consumers must copy before mutating.
+    The combination matrix is updated incrementally digit by digit, one
+    memoised multiple per step, and is borrowed: consumers must copy
+    before mutating.
     """
     if not basis:
         return
-    field = basis[0].field
-    q = field.q
-    add, sub = field.add, field.sub
-    # scaled[t][delta] holds the cells of delta * basis[t], so an
-    # odometer step costs one table add per nonzero cell
-    scaled = [
-        [
-            tuple((i, j, field.mul(delta, v)) for i, j, v in _nonzero_triples(b))
-            for delta in range(q)
-        ]
-        for b in basis
-    ]
+    add_multiple = _combination_builder(basis)
+    q, sub = basis[0].field.q, basis[0].field.sub
     k = len(basis)
     for lead in range(k):
         work = [list(row) for row in basis[lead].rows]
@@ -627,18 +653,50 @@ def _iter_projective_rows(
             yield (0,) * lead + (1,) + tuple(suffix), work
             pos = len(suffix) - 1
             while pos >= 0 and suffix[pos] == q - 1:
-                delta = sub(0, q - 1)
-                for i, j, sv in scaled[lead + 1 + pos][delta]:
-                    work[i][j] = add(work[i][j], sv)
+                add_multiple(work, lead + 1 + pos, sub(0, q - 1))
                 suffix[pos] = 0
                 pos -= 1
             if pos < 0:
                 break
             old = suffix[pos]
             suffix[pos] = old + 1
-            delta = sub(old + 1, old)
-            for i, j, sv in scaled[lead + 1 + pos][delta]:
-                work[i][j] = add(work[i][j], sv)
+            add_multiple(work, lead + 1 + pos, sub(old + 1, old))
+
+
+def _iter_random_rows(
+    basis: Sequence[SupportedMatrix], count: int, rng: random.Random
+) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
+    """Yield (coefficients, matrix rows) for count coefficient vectors
+    drawn uniformly from the nonzero ones by rng."""
+    add_multiple = _combination_builder(basis)
+    q, k = basis[0].field.q, len(basis)
+    for _ in range(count):
+        coeffs = [0] * k
+        while not any(coeffs):
+            coeffs = [rng.randrange(q) for _ in range(k)]
+        rows = [[0] * len(row) for row in basis[0].rows]
+        for t, c in enumerate(coeffs):
+            if c:
+                add_multiple(rows, t, c)
+        yield tuple(coeffs), rows
+
+
+def _first_witness(
+    combinations: Iterable[tuple[tuple[int, ...], list[list[int]]]],
+    field: FieldTable,
+    d: int,
+) -> tuple[int, tuple[int, ...] | None, int | None]:
+    """Scan (coefficients, rows) pairs up to the first of rank < d and
+    return (checked, coefficients, rank), or (checked, None, None) if none
+    qualifies.  Elimination stops at d pivots, which a witness never
+    reaches, so its rank is exact."""
+    checked = 0
+    for coeffs, rows in combinations:
+        checked += 1
+        rank = _rank_of_rows([row[:] for row in rows], field, stop_at=d)
+        if rank < d:
+            return checked, coeffs, rank
+    return checked, None, None
 
 
 def iter_projective_ranks(
@@ -653,47 +711,30 @@ def iter_projective_ranks(
         yield coeffs, _rank_of_rows([row[:] for row in rows], field)
 
 
-def projective_count(q: int, k: int) -> int:
-    return (q**k - 1) // (q - 1)
-
-
 def min_rank(
     basis: Sequence[SupportedMatrix], max_combinations: int | None = None
 ) -> int:
     """Minimum rank over all nonzero elements of the span of the basis.
 
     Scans one representative per projective point; exact, so the budget
-    must cover (q^k - 1)/(q - 1) combinations.
+    must cover (q^k - 1)/(q - 1) combinations.  A dependent basis yields
+    zero combinations, which are skipped; a span with no nonzero element
+    is refused.
     """
     if not basis:
         raise ValueError("min_rank of an empty basis is undefined")
-    q = basis[0].field.q
-    budget = combo_budget() if max_combinations is None else max_combinations
-    combos = projective_count(q, len(basis))
-    if combos > budget:
-        raise BudgetExceeded(
-            f"{combos} projective combinations exceed the budget {budget}"
-        )
-    best = None
-    for _, rank in iter_projective_ranks(basis):
-        if best is None or rank < best:
-            best = rank
-            if best <= 1:
-                break
-    return best
-
-
-def _contains_rank_below(basis: Sequence[SupportedMatrix], d: int) -> bool:
-    """Early-exit scan: does the span contain a nonzero matrix of rank
-    < d?  Same enumeration as min_rank but stops at the first witness,
-    and elimination per combination stops as soon as d pivots appear."""
-    if not basis:
-        return False
     field = basis[0].field
+    _check_projective_budget(field.q, len(basis), max_combinations)
+    best = None
     for _, rows in _iter_projective_rows(basis):
-        if _rank_of_rows([row[:] for row in rows], field, stop_at=d) < d:
-            return True
-    return False
+        rank = _rank_of_rows([row[:] for row in rows], field, stop_at=best)
+        if rank and (best is None or rank < best):
+            best = rank
+            if best == 1:
+                break
+    if best is None:
+        raise HypothesisViolation("the span of the basis has no nonzero element")
+    return best
 
 
 @dataclass(frozen=True, slots=True)
@@ -739,17 +780,15 @@ def estimate_density(
         raise HypothesisViolation("trials must be positive")
     if d < 1:
         raise HypothesisViolation("d must be positive")
-    budget = combo_budget() if max_combinations is None else max_combinations
-    combos = projective_count(q, k)
-    if combos > budget:
-        raise BudgetExceeded(
-            f"{combos} projective combinations per trial exceed the budget {budget}"
-        )
+    # each trial's sample_subspace applies the budget resolved here, so
+    # max_combinations governs the sampling as well as the scan
+    budget = _check_projective_budget(q, k, max_combinations, " per trial")
     rng = random.Random(seed)
     hits = 0
     for _ in range(trials):
-        basis = sample_subspace(diagram, q, k, rng=rng)
-        if d == 1 or not _contains_rank_below(basis, d):
+        basis = sample_subspace(diagram, q, k, rng=rng, max_combinations=budget)
+        scan = _iter_projective_rows(basis)
+        if d == 1 or _first_witness(scan, basis[0].field, d)[1] is None:
             hits += 1
     lo, hi = _wilson_interval(hits, trials)
     return DensityEstimate(

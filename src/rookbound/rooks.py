@@ -16,8 +16,6 @@ from .arith import ExtendedInt, IntPolynomial
 from .diagrams import FerrersDiagram, diagonal_profile
 from .errors import HypothesisViolation
 
-RookPlacement = frozenset
-
 
 def check_placement(rooks: Iterable[tuple[int, int]], diagram: FerrersDiagram) -> frozenset:
     """Validate a rook set: inside the diagram, no shared row or column."""

@@ -12,7 +12,6 @@ from rookbound import (
     binomial,
     catalan,
     field_table,
-    poly_trailing_degree,
     q_binomial,
     q_binomial_eval,
 )
@@ -26,9 +25,9 @@ def test_bigint_decimal_round_trip():
 
 def test_trailing_degree_golden():
     p = IntPolynomial.from_exponent_map({3: 6, 4: 18})
-    assert poly_trailing_degree(p) == 3
-    assert poly_trailing_degree(IntPolynomial.zero()) is NEG_INFINITY
-    assert poly_trailing_degree(IntPolynomial.one()) == 0
+    assert p.trailing_degree() == 3
+    assert IntPolynomial.zero().trailing_degree() is NEG_INFINITY
+    assert IntPolynomial.one().trailing_degree() == 0
 
 
 def test_neg_infinity_is_a_singleton_below_everything():

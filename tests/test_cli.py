@@ -68,6 +68,11 @@ def test_census_budget_exit_code(capsys):
     assert code == 3 and "budget refusal" in err
 
 
+def test_census_jobs_zero_exit_code(capsys):
+    code, _, err = run(capsys, "census", "[2,2]", "-q", "2", "--oracle", "--jobs", "0")
+    assert code == 2 and "jobs=0" in err
+
+
 def test_ball_and_exist_bound(capsys):
     code, out, _ = run(capsys, "ball", "[2,3,3,3,4,5]", "-r", "3", "-q", "3")
     assert code == 0 and "243679185" in out
@@ -109,6 +114,14 @@ def test_density_seeded(capsys):
     code, out2, _ = run(capsys, "--format", "json", "density", "[2,2]", "-d", "2",
                         "-k", "1", "-q", "2", "--trials", "300", "--seed", "5")
     assert json.loads(out2) == payload
+
+
+def test_density_max_combos_raises_the_budget(capsys, monkeypatch):
+    # 511 points per trial: over the environment's budget, under the flag's
+    monkeypatch.setenv("ROOKBOUND_MAX_COMBOS", "100")
+    code, _, err = run(capsys, "density", "[3,3,3]", "-d", "2", "-k", "9", "-q", "2",
+                       "--trials", "3", "--max-combos", "1000")
+    assert code == 0, err
 
 
 def test_usage_errors(capsys):

@@ -1,5 +1,7 @@
 """Reed-Solomon codes, the diagonal construction, and its verifier."""
 
+import itertools
+
 import pytest
 
 from rookbound import (
@@ -22,13 +24,23 @@ from rookbound import (
     transpose,
     verify_space,
 )
-from rookbound.construction import ConstructedSpace
+from rookbound.construction import ConstructedSpace, VerifyReport
 
 GOLDEN = parse_diagram("[2,3,3,3,4,5]")
 
 
 def _weights(code):
-    return [sum(1 for v in w if v) for w in code.codewords() if any(w)]
+    """Hamming weights of the nonzero codewords, each one summed from
+    the generator rows with the field operations directly."""
+    field = code.field
+    weights = []
+    for coeffs in itertools.product(range(field.q), repeat=code.dimension):
+        word = [0] * code.length
+        for c, row in zip(coeffs, code.generator):
+            word = [field.add(w, field.mul(c, g)) for w, g in zip(word, row)]
+        if any(word):
+            weights.append(sum(1 for v in word if v))
+    return weights
 
 
 def test_rs_code_5_2_4_over_gf4():
@@ -117,12 +129,11 @@ def test_build_space_transposes_when_tall():
     assert optimality_check(space)
 
 
-def test_verify_space_finds_planted_defect():
+def _tampered_golden_space():
     space = build_space(GOLDEN, 4, 4)
-    field = space.field
     # replace one basis matrix by a single-cell matrix of rank 1
-    broken = SupportedMatrix.from_cells(field, GOLDEN, {(1, 6): 1})
-    tampered = ConstructedSpace(
+    broken = SupportedMatrix.from_cells(space.field, GOLDEN, {(1, 6): 1})
+    return ConstructedSpace(
         space.diagram,
         space.d,
         space.q,
@@ -131,10 +142,27 @@ def test_verify_space_finds_planted_defect():
         space.diagonals,
         space.transposed,
     )
-    report = verify_space(tampered)
+
+
+def test_verify_space_finds_planted_defect():
+    report = verify_space(_tampered_golden_space())
     assert not report.ok
     assert report.witness_rank is not None and report.witness_rank < 4
     assert report.witness_coefficients is not None
+
+
+def test_verify_space_sampled_witness_is_pinned():
+    # seed 0 draws the planted element 3 * E_16 as its 11th sample
+    report = verify_space(_tampered_golden_space(), sample=20, seed=0)
+    assert report == VerifyReport(False, "sampled", 11, True, (0, 0, 3), 1, 0)
+
+
+def test_verify_space_reports_zero_combination_of_dependent_basis():
+    field = field_table(2)
+    board = parse_diagram("[2,2]")
+    ident = SupportedMatrix.from_cells(field, board, {(1, 1): 1, (2, 2): 1})
+    space = ConstructedSpace(board, 2, 2, 2, (ident, ident), (), False)
+    assert verify_space(space) == VerifyReport(False, "exhaustive", 2, False, (1, 1), 0)
 
 
 def test_verify_space_budget_and_sampling():
@@ -193,6 +221,14 @@ def test_constructible_pairs_verify_and_meet_bound():
                     assert optimality_check(space), (f, d, q)
                     verified += 1
     assert verified > 100
+
+
+@pytest.mark.parametrize("key", ["diagram", "q", "d", "basis"])
+def test_space_from_json_missing_key(key):
+    payload = space_to_json(build_space(GOLDEN, 4, 4))
+    del payload[key]
+    with pytest.raises(HypothesisViolation, match=key):
+        space_from_json(payload)
 
 
 def test_space_json_round_trip():

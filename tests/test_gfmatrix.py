@@ -1,6 +1,7 @@
 """Finite fields, supported matrices, censuses, sampling."""
 
 import itertools
+import os
 
 import pytest
 
@@ -24,6 +25,7 @@ from rookbound import (
     sample_subspace,
     tau_closed_form,
 )
+from rookbound import gfmatrix
 from rookbound.arith import IntPolynomial
 from rookbound.errors import HypothesisViolation
 from conftest import all_diagrams, diagrams_up_to_size
@@ -181,7 +183,9 @@ def test_census_budget_refusal():
         brute_force_census(parse_diagram("[3,3,3,3]"), 3, max_total=1000)
 
 
-def test_census_sharding_matches_sequential():
+def test_census_sharding_matches_sequential(monkeypatch):
+    # three shards whatever the machine: jobs may not exceed the CPU count
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     f = parse_diagram("[2,3,3]")
     seq = brute_force_census(f, 3, jobs=1)
     par = brute_force_census(f, 3, jobs=3)
@@ -267,6 +271,17 @@ def test_min_rank_trivial_cases():
     assert min_rank(full) == 1
 
 
+def test_min_rank_skips_zero_combinations():
+    # [I, I] is dependent; every nonzero element of its span is I
+    f2 = field_table(2)
+    board = parse_diagram("[2,2]")
+    ident = SupportedMatrix.from_cells(f2, board, {(1, 1): 1, (2, 2): 1})
+    assert min_rank([ident, ident]) == 2
+    zero = SupportedMatrix.from_cells(f2, board, {})
+    with pytest.raises(HypothesisViolation):
+        min_rank([zero, zero])
+
+
 def test_min_rank_budget():
     f = parse_diagram("[2,2]")
     basis = sample_subspace(f, 2, 4, seed=1)
@@ -291,6 +306,35 @@ def test_estimate_density_is_deterministic_and_documented():
 def test_estimate_density_budget():
     with pytest.raises(BudgetExceeded):
         estimate_density(parse_diagram("[3,3,3]"), 2, 5, 4, 10, seed=0, max_combinations=10)
+
+
+def test_estimate_density_refuses_q_1_like_field_table():
+    with pytest.raises(ValueError) as want:
+        field_table(1)
+    with pytest.raises(ValueError) as got:
+        estimate_density(parse_diagram("[2,2]"), 2, 1, 1, 10, seed=0)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name", ["ROOKBOUND_MAX_COMBOS", "ROOKBOUND_MAX_ENUM"])
+@pytest.mark.parametrize("raw", ["abc", "-5"])
+def test_budget_variables_must_be_non_negative_integers(monkeypatch, name, raw):
+    monkeypatch.setenv(name, raw)
+    with pytest.raises(HypothesisViolation, match=name):
+        if name == "ROOKBOUND_MAX_ENUM":
+            brute_force_census(parse_diagram("[2,2]"), 2)
+        else:
+            estimate_density(parse_diagram("[2,2]"), 2, 1, 2, 1, seed=0)
+
+
+@pytest.mark.parametrize("jobs", [0, (os.cpu_count() or 1) + 1])
+def test_census_jobs_outside_cpu_range_refused(monkeypatch, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(gfmatrix, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(HypothesisViolation):
+        brute_force_census(parse_diagram("[2,2]"), 2, jobs=jobs)
 
 
 def test_exact_density_cross_check():
