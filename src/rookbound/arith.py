@@ -10,7 +10,6 @@ degree of the zero polynomial need no numeric sentinel.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Iterable, Union
 
 
@@ -238,21 +237,30 @@ def catalan(n: int) -> int:
     return top // (n + 1)
 
 
-@lru_cache(maxsize=None)
 def q_binomial(a: int, b: int) -> IntPolynomial:
     """Gaussian binomial coefficient as an exact polynomial in q.
 
-    Computed by the q-Pascal recurrence
-        [a, b] = [a-1, b-1] + q^b [a-1, b]
-    so the whole computation stays in integer arithmetic.  Evaluating
-    the result at a prime power q counts the b-dimensional subspaces of
-    a fixed a-dimensional space over the field with q elements.
+    Computed by the product formula
+        [a, b] = prod_{i < t} (1 - q^(a-i)) / (1 - q^(i+1)),  t = min(b, a-b),
+    one factor at a time: after i + 1 factors the running quotient is
+    [a, i+1], so every division is exact and the whole computation stays
+    in integer arithmetic.  Evaluating the result at a prime power q
+    counts the b-dimensional subspaces of a fixed a-dimensional space
+    over the field with q elements.
     """
     if b < 0 or a < b:
         raise ValueError(f"q_binomial({a},{b}) requires a >= b >= 0")
-    if b == 0 or b == a:
-        return IntPolynomial.one()
-    return q_binomial(a - 1, b - 1) + q_binomial(a - 1, b).shift(b)
+    coeffs = [1]
+    for i in range(min(b, a - b)):
+        up, down = a - i, i + 1
+        coeffs.extend([0] * up)
+        for e in range(len(coeffs) - 1, up - 1, -1):  # times 1 - q^up
+            coeffs[e] -= coeffs[e - up]
+        for e in range(down, len(coeffs)):  # over 1 - q^down
+            coeffs[e] += coeffs[e - down]
+        assert not any(coeffs[-down:])
+        del coeffs[-down:]
+    return IntPolynomial(coeffs)
 
 
 def q_binomial_eval(a: int, b: int, q: int) -> int:

@@ -151,8 +151,11 @@ def verify_space(
     lexicographic order, so a failing run always reports the same first
     witness.  When the combination count exceeds the budget, refuses
     unless a sample size was requested explicitly; with one, checks that
-    many seeded random nonzero combinations instead.
+    many seeded random nonzero combinations instead.  A sample size
+    below 1 is refused, since it would check nothing.
     """
+    if sample is not None and sample < 1:
+        raise HypothesisViolation(f"sample={sample!r} must be at least 1")
     if space.dimension == 0:
         return VerifyReport(True, "exhaustive", 0, True, None, None)
     field = space.field
@@ -161,7 +164,8 @@ def verify_space(
     if sample is None:
         _check_projective_budget(
             space.q, space.dimension, max_combinations,
-            "; pass a sample size for a randomized check",
+            "; raise max_combinations (--max-combos on the command line), "
+            "or call verify_space(..., sample=N) from Python for a randomized check",
         )
         mode, combinations = "exhaustive", _iter_projective_rows(space.basis)
     else:

@@ -42,19 +42,17 @@ DEFAULT_COMBO_BUDGET = 1 << 23
 PRNG_NAME = "python-random/MT19937"
 
 
-def _env_budget(name: str, default: int) -> int:
-    raw = os.environ.get(name, str(default))
-    if not raw.strip().isdecimal():
-        raise HypothesisViolation(f"{name} must be a non-negative integer, got {raw!r}")
-    return int(raw)
-
-
-def enum_budget() -> int:
-    return _env_budget("ROOKBOUND_MAX_ENUM", DEFAULT_ENUM_BUDGET)
-
-
-def combo_budget() -> int:
-    return _env_budget("ROOKBOUND_MAX_COMBOS", DEFAULT_COMBO_BUDGET)
+def _budget(override: int | None, variable: str, default: int) -> int:
+    """The caller's override, else the environment variable, else the
+    default; a budget that is not a non-negative integer is refused."""
+    if override is None:
+        raw = os.environ.get(variable, str(default))
+        if not raw.strip().isdecimal():
+            raise HypothesisViolation(f"{variable} must be a non-negative integer, got {raw!r}")
+        return int(raw)
+    if not isinstance(override, int) or override < 0:
+        raise HypothesisViolation(f"a budget must be a non-negative integer, got {override!r}")
+    return override
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
@@ -465,7 +463,7 @@ def brute_force_census(
     cpus = os.cpu_count() or 1
     if not isinstance(jobs, int) or not 1 <= jobs <= cpus:
         raise HypothesisViolation(f"jobs={jobs!r} outside 1..{cpus}, the CPU count")
-    budget = enum_budget() if max_total is None else max_total
+    budget = _budget(max_total, "ROOKBOUND_MAX_ENUM", DEFAULT_ENUM_BUDGET)
     total = q**diagram.size
     if total > budget:
         raise BudgetExceeded(
@@ -567,10 +565,10 @@ def _check_projective_budget(
     q: int, k: int, max_combinations: int | None, hint: str = ""
 ) -> int:
     """Validate q, then refuse a k-dimensional span whose projective
-    points exceed max_combinations, or combo_budget() when that is None.
-    Returns the budget applied."""
+    points exceed max_combinations, or ROOKBOUND_MAX_COMBOS when that is
+    None.  Returns the budget applied."""
     factor_prime_power(q)
-    budget = combo_budget() if max_combinations is None else max_combinations
+    budget = _budget(max_combinations, "ROOKBOUND_MAX_COMBOS", DEFAULT_COMBO_BUDGET)
     combos = projective_count(q, k)
     if combos > budget:
         raise BudgetExceeded(

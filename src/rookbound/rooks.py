@@ -5,11 +5,16 @@ out every dot that is a rook, sits above a rook in its column, or sits
 to the right of a rook in its row; inv(C, F) is the number of dots left.
 The r-th q-rook polynomial is the generating function of inv over all
 r-rook non-attacking placements inside the diagram.
+
+rook_polynomial computes it by the Garsia-Remmel column recurrence, a
+sweep whose state is the number of rooks placed so far; it is the only
+route to the polynomial, and everything exact downstream (censuses,
+balls, bounds, trailing degrees) rests on it.  enumerate_placements and
+inv walk the placements one by one and serve only as its oracle.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .arith import ExtendedInt, IntPolynomial
@@ -85,55 +90,34 @@ def enumerate_placements(diagram: FerrersDiagram, r: int) -> Iterator[frozenset]
     yield from go(0, 0, [])
 
 
-@lru_cache(maxsize=None)
-def _inv_distribution(cols: tuple[int, ...], r: int) -> tuple[int, ...]:
-    """counts[v] = number of r-rook placements with statistic value v.
-
-    The statistic is accumulated column by column: a rook-free column j
-    contributes its height minus the rows already used to its left (dots
-    crossed horizontally), and a column with a rook on row i contributes
-    the unused rows strictly below the rook.  This equals the dot-count
-    definition; the agreement is covered by tests against inv().
-    """
-    m = len(cols)
-    size = sum(cols)
-    counts = [0] * (size + 1)
-
-    def go(j: int, placed: int, used: int, acc: int) -> None:
-        if m - j < r - placed:
-            return
-        if j == m:
-            if placed == r:
-                counts[acc] += 1
-            return
-        c = cols[j]
-        full = (1 << c) - 1
-        go(j + 1, placed, used, acc + c - (used & full).bit_count())
-        if placed < r:
-            for i in range(1, c + 1):
-                bit = 1 << (i - 1)
-                if used & bit:
-                    continue
-                below = full & ~((1 << i) - 1)
-                go(j + 1, placed + 1, used | bit,
-                   acc + (c - i) - (used & below).bit_count())
-
-    go(0, 0, 0, 0)
-    return tuple(counts)
-
-
 def rook_polynomial(diagram: FerrersDiagram, r: int) -> IntPolynomial:
     """The r-th q-rook polynomial: sum of q**inv(C) over r-placements.
+
+    One left-to-right sweep over the columns (Garsia-Remmel).  The state
+    is the number s of rooks placed so far, each carrying the polynomial
+    weight of its partial placements.  Heights weakly increase, so the s
+    used rows all lie inside the current column of height c, which
+    leaves it c - s free dots:
+
+    * without a rook the column keeps them all, a factor q^(c-s);
+    * a rook on one of the free rows keeps the free dots below it, 0 to
+      c-s-1 of them, a factor [c-s]_q = 1 + q + ... + q^(c-s-1).
 
     The zero polynomial when no placement exists.
     """
     if r < 0:
         raise ValueError("rook count must be nonnegative")
-    return IntPolynomial(_inv_distribution(diagram.cols, r))
+    weights = [IntPolynomial.one()]  # weights[s]: the placements of s rooks so far
+    for c in diagram.cols:
+        swept = [w.shift(c - s) for s, w in enumerate(weights)] + [IntPolynomial.zero()]
+        for s, w in enumerate(weights[: min(r, c)]):
+            swept[s + 1] = swept[s + 1] + w * IntPolynomial((1,) * (c - s))
+        weights = swept[: r + 1]
+    return weights[r] if r < len(weights) else IntPolynomial.zero()
 
 
 def placement_count(diagram: FerrersDiagram, r: int) -> int:
-    return sum(_inv_distribution(diagram.cols, r))
+    return rook_polynomial(diagram, r).evaluate(1)
 
 
 def diagonal_surplus(diagram: FerrersDiagram, r: int) -> int:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from hypothesis import strategies as st
+
 from rookbound import FerrersDiagram, enumerate_diagrams
 
 
@@ -27,3 +29,12 @@ def diagrams_up_to_size(max_size: int):
 
     rec([], max_size, 1)
     return out
+
+
+@st.composite
+def diagram_strategy(draw, max_n=6, max_m=6):
+    """A random diagram on a board up to max_n x max_m."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
+    cols = sorted(draw(st.lists(st.integers(1, n), min_size=m - 1, max_size=m - 1)))
+    return FerrersDiagram(tuple(cols) + (n,))

@@ -109,6 +109,14 @@ def test_q_binomial_leading_exponent():
             assert q_binomial(a, b).degree() == expected
 
 
+def test_q_binomial_deep_arguments_do_not_recurse():
+    # deep enough to exhaust the recursion limit of a recursive build
+    for a, b in ((1200, 2), (1100, 1)):
+        poly = q_binomial(a, b)
+        for q in (2, 3):
+            assert poly.evaluate(q) == q_binomial_eval(a, b, q)
+
+
 def _free_cells(pivots, a, b):
     """Cells of a reduced echelon pattern that can hold any element: to
     the right of the row's pivot and not in a pivot column."""

@@ -73,6 +73,24 @@ def test_census_jobs_zero_exit_code(capsys):
     assert code == 2 and "jobs=0" in err
 
 
+def test_census_negative_max_enum_exit_code(capsys):
+    code, _, err = run(capsys, "census", "[2,2]", "-q", "2", "--oracle", "--max-enum", "-5")
+    assert code == 2 and "-5" in err
+
+
+def test_density_negative_max_combos_exit_code(capsys):
+    code, _, err = run(capsys, "density", "[2,2]", "-d", "2", "-k", "1", "-q", "2",
+                       "--max-combos", "-1")
+    assert code == 2 and "-1" in err
+
+
+def test_construct_verify_refusal_names_both_ways_out(capsys):
+    code, _, err = run(capsys, "construct", "[5,5,5,5,5,5]", "-d", "2", "-q", "9", "--verify")
+    assert code == 3
+    assert "--max-combos" in err and "max_combinations" in err
+    assert "verify_space(..., sample=N)" in err
+
+
 def test_ball_and_exist_bound(capsys):
     code, out, _ = run(capsys, "ball", "[2,3,3,3,4,5]", "-r", "3", "-q", "3")
     assert code == 0 and "243679185" in out

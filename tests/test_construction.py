@@ -173,6 +173,13 @@ def test_verify_space_budget_and_sampling():
     assert report.ok and report.mode == "sampled" and report.checked == 40
 
 
+@pytest.mark.parametrize("sample", [0, -3])
+def test_verify_space_refuses_sample_below_one(sample):
+    # a sample that checks nothing must not pass the planted defect
+    with pytest.raises(HypothesisViolation):
+        verify_space(_tampered_golden_space(), sample=sample, seed=1)
+
+
 def test_constructed_dimension_formula():
     # dimension equals sum over the first m diagonals of max(0, n_i - d + 1)
     for n in range(1, 5):

@@ -2,7 +2,6 @@
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rookbound import (
     FerrersDiagram,
@@ -15,7 +14,7 @@ from rookbound import (
     to_path,
     transpose,
 )
-from conftest import all_diagrams
+from conftest import all_diagrams, diagram_strategy
 
 
 def test_parse_golden():
@@ -131,14 +130,6 @@ def test_dyck_iff_no_dots_beyond_m():
             for f in enumerate_diagrams(n, m):
                 empty_tail = diagonal_profile(f).vanishes_beyond(m)
                 assert is_generalized_dyck(to_path(f)) == empty_tail, f
-
-
-@st.composite
-def diagram_strategy(draw, max_n=6, max_m=6):
-    n = draw(st.integers(1, max_n))
-    m = draw(st.integers(1, max_m))
-    cols = sorted(draw(st.lists(st.integers(1, n), min_size=m - 1, max_size=m - 1)))
-    return FerrersDiagram(tuple(cols) + (n,))
 
 
 @given(diagram_strategy())
