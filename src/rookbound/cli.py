@@ -10,6 +10,7 @@ environment variables.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -352,6 +353,8 @@ def _cmd_exist_table(args) -> int:
     return EXIT_OK
 
 
+# built once per process: parsing leaves no state in the parser
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rookbound",

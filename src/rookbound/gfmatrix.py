@@ -1,6 +1,11 @@
 """Finite fields GF(q), matrices supported on a Ferrers diagram, exact
 rank censuses, and randomized density estimation.
 
+All GF(q) arithmetic takes one route, FieldTable: exp, log and Zech
+logarithm tables built on the smallest primitive element serve every
+field up to 2^16 elements, prime or extension, with XOR addition in
+characteristic 2 as the only branch.
+
 Two independent routes produce the rank census of F_q[F]:
 
 * brute_force_census enumerates all q^|F| matrices and ranks each one;
@@ -156,22 +161,32 @@ class FieldTable:
     """Arithmetic for GF(q), q = p**k at most 2**16.
 
     Elements are integers 0..q-1; for extensions the base-p digits of an
-    element are the coefficients of its polynomial representative.
-    Multiplication and inversion go through exp/log tables built on a
-    fixed primitive element, so construction is deterministic per q.
+    element are the coefficients of its polynomial representative.  Every
+    operation reads three tables built on the smallest primitive element
+    g, so construction is deterministic per q:
+
+    * exp[t] = g^t, stored twice over so sums of two logs need no modulo;
+    * log, its inverse on the nonzero elements;
+    * zech[t] = log(1 + g^t), None where 1 + g^t = 0 (Zech logarithms).
+
+    Multiplication adds logs, and addition of nonzero elements is
+    g^i + g^j = g^i (1 + g^(j-i)) = exp[i + zech[j - i]], the same formula
+    for prime and extension fields.  Characteristic 2 adds by XOR of the
+    digit bits instead, which is cheaper and gives the same result.
     """
 
     def __init__(self, q: int):
-        p, k = factor_prime_power(q)
+        # checked before factoring, which trial-divides up to sqrt(q)
         if q > 1 << 16:
             raise ValueError("fields beyond 2^16 elements are not supported")
+        p, k = factor_prime_power(q)
         self.q = q
         self.p = p
         self.k = k
-        self.modulus = None if k == 1 else _IRREDUCIBLE.get(q, _find_irreducible(p, k))
+        self.modulus = None if k == 1 else _IRREDUCIBLE.get(q) or _find_irreducible(p, k)
         self._build_tables()
 
-    # raw polynomial-basis products, used only while building the tables
+    # raw polynomial-basis arithmetic, used only while building the tables
     def _raw_mul(self, a: int, b: int) -> int:
         p, k = self.p, self.k
         if k == 1:
@@ -183,109 +198,79 @@ class FieldTable:
             if ai:
                 for j, bj in enumerate(db):
                     prod[i + j] += ai * bj
-        mod = self.modulus
-        for top in range(2 * k - 2, k - 1, -1):
-            coef = prod[top] % p
-            if coef:
-                for t in range(k + 1):
-                    prod[top - k + t] = (prod[top - k + t] - coef * mod[t]) % p
-            prod[top] = 0
-        return sum((prod[t] % p) * p**t for t in range(k))
+        rem = _poly_remainder(prod, self.modulus, p)
+        return sum((c % p) * p**t for t, c in enumerate(rem))
 
-    def _element_order(self, g: int) -> int:
-        acc = g
-        order = 1
-        while acc != 1:
-            acc = self._raw_mul(acc, g)
-            order += 1
-        return order
+    def _raw_pow(self, a: int, e: int) -> int:
+        result = 1
+        while e:
+            if e & 1:
+                result = self._raw_mul(result, a)
+            a = self._raw_mul(a, a)
+            e >>= 1
+        return result
 
     def _build_tables(self):
-        q, p, k = self.q, self.p, self.k
-        if q == 2:
-            self.generator = 1
-        else:
-            self.generator = next(
-                g for g in range(2, q) if self._element_order(g) == q - 1
-            )
-        exp = [1] * (q - 1)
-        for t in range(1, q - 1):
+        q, p = self.q, self.p
+        order = q - 1
+        # g is primitive iff g^(order/r) != 1 for every prime r dividing
+        # the order; for q = 2 there is no such r and g = 1
+        primes = [
+            r for r in range(2, q)
+            if order % r == 0 and all(r % s for s in range(2, math.isqrt(r) + 1))
+        ]
+        self.generator = next(
+            g for g in range(1, q)
+            if all(self._raw_pow(g, order // r) != 1 for r in primes)
+        )
+        exp = [1] * order
+        for t in range(1, order):
             exp[t] = self._raw_mul(exp[t - 1], self.generator)
         log = [0] * q
         for t, e in enumerate(exp):
             log[e] = t
-        self._exp = exp
+        # 1 + e raises the constant base-p digit of e by one
+        zech = [None if e == p - 1 else log[e - e % p + (e + 1) % p] for e in exp]
+        self._exp = exp + exp
         self._log = log
-        self._add_table = None
-        if k > 1 and p > 2 and q <= 256:
-            self._add_table = [
-                [self._digit_add(a, b) for b in range(q)] for a in range(q)
-            ]
-        self._mul_table = None
-        if q <= 256:
-            self._mul_table = [[self.mul(a, b) for b in range(q)] for a in range(q)]
-
-    def _digit_add(self, a: int, b: int) -> int:
-        p, k = self.p, self.k
-        out = 0
-        mult = 1
-        for _ in range(k):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        self._zech = zech
+        self._log_neg_one = zech.index(None)
 
     def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._digit_add(a, b)
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        # a negative index wraps modulo q - 1, the order of g
+        z = self._zech[log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        p, k = self.p, self.k
-        out = 0
-        mult = 1
-        for _ in range(k):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self._exp[self._log[a] + self._log_neg_one] if a else 0
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        if a and b:
+            return self._exp[self._log[a] + self._log[b]]
+        return 0
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        if a == 1:
-            return 1
-        return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("0 has no inverse")
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def __repr__(self):
         return f"FieldTable(GF({self.q}))"
@@ -398,7 +383,7 @@ def _census_worker(cols: tuple[int, ...], q: int, first_slice: tuple[int, int]) 
     """Count matrices by rank with the first column restricted to a slice
     of its candidate list.  Used as the unit of parallel sharding."""
     field = field_table(q)
-    sub, mul, inv_ = field.sub, field.mul, field.inv
+    add, neg, mul, inv_ = field.add, field.neg, field.mul, field.inv
     m = len(cols)
     counts = [0] * (min(cols[-1], m) + 1)
     candidates = [_column_vectors(q, c) for c in cols]
@@ -419,8 +404,9 @@ def _census_worker(cols: tuple[int, ...], q: int, first_slice: tuple[int, int]) 
                 # basis vectors come from earlier, shorter columns and are
                 # implicitly zero beyond their own length
                 bvec = pivots[piv]
+                coef = neg(coef)
                 for t in range(piv, len(bvec)):
-                    w[t] = sub(w[t], mul(coef, bvec[t]))
+                    w[t] = add(w[t], mul(coef, bvec[t]))
         for t in range(h):
             if w[t]:
                 scale = inv_(w[t])
@@ -567,7 +553,7 @@ def _check_projective_budget(
     """Validate q, then refuse a k-dimensional span whose projective
     points exceed max_combinations, or ROOKBOUND_MAX_COMBOS when that is
     None.  Returns the budget applied."""
-    factor_prime_power(q)
+    field_table(q)
     budget = _budget(max_combinations, "ROOKBOUND_MAX_COMBOS", DEFAULT_COMBO_BUDGET)
     combos = projective_count(q, k)
     if combos > budget:

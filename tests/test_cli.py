@@ -206,3 +206,33 @@ def test_rounded_bounds_helper():
     assert lo == 1055 * 10**30 and hi == 1065 * 10**30
     lo, hi = rounded_bounds("1.1e79")
     assert lo == 105 * 10**77 and hi == 115 * 10**77
+
+
+@pytest.mark.parametrize("command", [
+    ["construct", "[2,2]", "-d", "2"],
+    ["density", "[2,2]", "-d", "2", "-k", "1"],
+])
+def test_huge_prime_q_exit_code(capsys, command):
+    import time
+
+    start = time.perf_counter()
+    code, _, err = run(capsys, *command, "-q", str(2**61 - 1))
+    assert code == 1 and "2^16" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_parser_carries_no_state_between_calls(capsys):
+    from rookbound.cli import build_parser
+
+    calls = [
+        ["--format", "json", "census", "[2,3,3]", "-q", "3"],
+        ["census", "[2,3,3]", "-q", "3"],
+        ["kappa", "[1,3]"],
+        ["census", "[2,3,3]", "-q", "3"],
+    ]
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    assert alone[2][0] == 1
+    assert [run(capsys, *argv) for argv in calls] == alone

@@ -105,6 +105,108 @@ def test_field_beyond_modulus_table():
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
+class _Schoolbook:
+    """GF(q) by digit-wise addition mod p and polynomial products reduced
+    mod the field's modulus: a reference that shares no table with
+    FieldTable.  A prime field is the degree-0 case, reduced mod x."""
+
+    def __init__(self, f):
+        self.p, self.k = f.p, f.k
+        self.modulus = f.modulus or (0, 1)
+
+    def digits(self, a):
+        return [a // self.p**t % self.p for t in range(self.k)]
+
+    def number(self, digits):
+        return sum(c % self.p * self.p**t for t, c in enumerate(digits))
+
+    def add(self, a, b):
+        return self.number(x + y for x, y in zip(self.digits(a), self.digits(b)))
+
+    def neg(self, a):
+        return self.number(-x for x in self.digits(a))
+
+    def mul(self, a, b):
+        k = self.k
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(self.digits(a)):
+            for j, y in enumerate(self.digits(b)):
+                prod[i + j] += x * y
+        # the monic modulus gives x^k = -(m_0 + m_1 x + ... + m_(k-1) x^(k-1));
+        # apply it from the top degree down
+        for top in range(2 * k - 2, k - 1, -1):
+            c = prod[top] % self.p
+            for t in range(k):
+                prod[top - k + t] -= c * self.modulus[t]
+        return self.number(prod[:k])
+
+    def pow(self, a, e):
+        result = 1
+        for bit in bin(e)[2:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
+        return result
+
+
+@pytest.mark.parametrize(
+    "q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 81, 125, 243, 256, 289, 343, 2187, 4096]
+)
+def test_field_matches_schoolbook_reference(q):
+    import random as _random
+
+    f = field_table(q)
+    ref = _Schoolbook(f)
+    if q <= 81:
+        triples = [(a, b, b - q // 2) for a in range(q) for b in range(q)]
+    else:
+        rng = _random.Random(q)
+        triples = [(rng.randrange(q), rng.randrange(q), rng.randrange(-q, q))
+                   for _ in range(3000)]
+    for a, b, e in triples:
+        assert f.add(a, b) == ref.add(a, b)
+        assert f.neg(b) == ref.neg(b)
+        assert f.sub(a, b) == ref.add(a, ref.neg(b))
+        assert f.mul(a, b) == ref.mul(a, b)
+        if a:
+            assert ref.mul(a, f.inv(a)) == 1
+            # g^(q-1) = 1, so a^e = a^(e mod (q-1)) for every integer e
+            assert f.pow(a, e) == ref.pow(a, e % (q - 1))
+    assert (f.pow(0, 0), f.pow(0, 3)) == (1, 0)
+    with pytest.raises(ZeroDivisionError):
+        f.pow(0, -1)
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+
+
+def test_generators_are_pinned():
+    # rs_code evaluates at powers of the generator, so these values fix
+    # every constructed basis
+    pinned = {2: 1, 3: 2, 4: 2, 8: 2, 9: 3, 25: 5, 49: 7, 121: 11, 169: 13,
+              243: 3, 289: 19, 343: 22, 512: 7, 2187: 5, 4096: 3}
+    assert {q: field_table(q).generator for q in pinned} == pinned
+
+
+def test_listed_moduli_skip_the_irreducible_search(monkeypatch):
+    def refuse(p, k):
+        raise AssertionError(f"searched for an irreducible of degree {k} over GF({p})")
+
+    monkeypatch.setattr(gfmatrix, "_find_irreducible", refuse)
+    for q, modulus in gfmatrix._IRREDUCIBLE.items():
+        assert gfmatrix.FieldTable(q).modulus == modulus
+
+
+def test_huge_q_refused_before_factoring():
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="2\\^16"):
+        gfmatrix.FieldTable(2**61 - 1)
+    with pytest.raises(ValueError, match="2\\^16"):
+        estimate_density(parse_diagram("[2,2]"), 2, 1, 2**61 - 1, 10, seed=0)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_supported_matrix_validation():
     f2 = field_table(2)
     d = parse_diagram("[1,2]")
