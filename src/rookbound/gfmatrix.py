@@ -18,25 +18,37 @@ Two independent routes produce the rank census of F_q[F]:
 Their agreement on every board small enough to enumerate is what makes
 the polynomial route trustworthy on boards that are not.
 
-Every rank question about a span takes one route: _first_witness, the
-one scan, ranks combinations with _rank_of_rows, the one kernel, up to
-the first of rank < d.  estimate_density and both modes of
-construction.verify_space run through it; min_rank walks the same
-_iter_projective_rows with the same kernel.
+Rank questions about a span take one of two routes, and both rank with
+_rank_of_rows, the one kernel:
+
+* the projective scan: _first_witness ranks combinations from
+  _iter_projective_rows (or _iter_random_rows) up to the first of
+  rank < d.  Both modes of construction.verify_space run through it;
+  min_rank walks the same iterator with the same kernel;
+* the dual (kernel) route: _has_rank_below_dual visits the
+  (n'-d+1)-dimensional subspaces U of GF(q)^n', n' = min(n, m), and
+  asks whether the linear system U^T M(c) = 0 has a nonzero solution c.
+
+estimate_density alone chooses between them, once per call: the dual
+route when d <= n' and its [n', n'-d+1]_q subspaces are fewer than the
+scan's (q^k - 1)/(q - 1) points (_dual_is_cheaper), the scan otherwise.
+Both decide the same question exactly, so the choice never changes a
+result, and the projective budget still bounds the work.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
-from .arith import NEG_INFINITY, IntPolynomial
+from .arith import NEG_INFINITY, IntPolynomial, q_binomial_eval
 from .diagrams import FerrersDiagram
 from .errors import BudgetExceeded, HypothesisViolation
 from .rooks import rook_polynomial
@@ -60,26 +72,74 @@ def _budget(override: int | None, variable: str, default: int) -> int:
     return override
 
 
+# Miller-Rabin on the first 13 prime bases is exact below this bound,
+# the smallest strong pseudoprime to all of them (Sorenson & Webster,
+# Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on _MR_BASES, for n >= 2.  False proves n composite
+    at any size; True proves n prime only below _MR_EXACT_BELOW."""
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for a in _MR_BASES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(q: int, k: int) -> int:
+    """The largest r with r**k <= q, by bisection."""
+    lo, hi = 1, 1 << (q.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**k <= q:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, k) with q = p**k, p prime; raise otherwise."""
+    """Return (p, k) with q = p**k, p prime; raise ValueError otherwise.
+
+    Tries every exponent k from the largest possible down, taking the
+    integer k-th root and testing it with _is_prime, so the cost grows
+    with the bit length of q, not with sqrt(q).  A base that passes but
+    lies beyond the exact Miller-Rabin range is refused, so the answer
+    is never a guess.
+    """
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    p = q
-    for cand in range(2, math.isqrt(q) + 1):
-        if q % cand == 0:
-            p = cand
-            break
-    k = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        k += 1
-    if rest != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, k
+    # operator.index refuses a non-integer q with TypeError
+    for k in range(operator.index(q).bit_length() - 1, 0, -1):
+        p = _iroot(q, k)
+        if p**k == q and _is_prime(p):
+            if p >= _MR_EXACT_BELOW:
+                raise ValueError(
+                    f"{q} is not a prime power with a base below {_MR_EXACT_BELOW}, "
+                    "the range where primality is exact"
+                )
+            return p, k
+    raise ValueError(f"{q} is not a prime power")
 
 
 def is_prime_power(q: int) -> bool:
+    """Whether factor_prime_power accepts q."""
     try:
         factor_prime_power(q)
         return True
@@ -176,7 +236,6 @@ class FieldTable:
     """
 
     def __init__(self, q: int):
-        # checked before factoring, which trial-divides up to sqrt(q)
         if q > 1 << 16:
             raise ValueError("fields beyond 2^16 elements are not supported")
         p, k = factor_prime_power(q)
@@ -276,7 +335,8 @@ class FieldTable:
         return f"FieldTable(GF({self.q}))"
 
 
-@lru_cache(maxsize=None)
+# bounded, and well above the few fields one run builds (at most six)
+@lru_cache(maxsize=32)
 def field_table(q: int) -> FieldTable:
     return FieldTable(q)
 
@@ -683,6 +743,59 @@ def _first_witness(
     return checked, None, None
 
 
+def _dual_is_cheaper(diagram: FerrersDiagram, d: int, k: int, q: int) -> bool:
+    """Whether _has_rank_below_dual visits fewer candidates than the
+    projective scan: its [n', n'-d+1]_q subspaces, n' = min(n, m),
+    against the scan's (q^k - 1)/(q - 1) points.  For d > n' every
+    nonzero element has rank below d, so the scan decides at its first
+    point."""
+    short = min(diagram.n, diagram.m)
+    return d <= short and q_binomial_eval(short, short - d + 1, q) < projective_count(q, k)
+
+
+def _has_rank_below_dual(basis: Sequence[SupportedMatrix], d: int) -> bool:
+    """Whether some nonzero coefficient vector c gives M(c) = sum c_t B_t
+    of rank < d, the decision _first_witness makes over the projective
+    scan, taken on the kernel side (Goubin & Courtois, ASIACRYPT 2000;
+    Faugere, Levy-dit-Vehel & Perret, CRYPTO 2008).  For an independent
+    basis, which sample_subspace always returns, that is whether some
+    nonzero element of the span has rank < d.  Requires d <= n'.
+
+    With n' = min(n, m), the matrices transposed when m < n, and
+    s = n' - d + 1, M(c) has rank < d exactly when some s-dimensional
+    subspace U of GF(q)^n' satisfies U^T M(c) = 0.  For a fixed U with
+    basis u_1..u_s that is a linear system in c: its k rows
+    concat_i(u_i^T B_t) are dependent exactly when a nonzero c solves
+    it.  Each U is visited once, in reduced row echelon form (pivot
+    columns, then the free entries right of each pivot), up to the first
+    dependent system.
+    """
+    field = basis[0].field
+    add, mul, q = field.add, field.mul, field.q
+    mats = [b.rows for b in basis]
+    if len(mats[0]) > len(mats[0][0]):
+        mats = [tuple(zip(*rows)) for rows in mats]
+    n, k = len(mats[0]), len(mats)
+    for pivots in combinations(range(n), n - d + 1):
+        free = [[j for j in range(p + 1, n) if j not in pivots] for p in pivots]
+        for values in product(range(q), repeat=sum(map(len, free))):
+            system = []
+            for rows in mats:
+                equations = []
+                start = 0
+                for p, cols in zip(pivots, free):
+                    vec = rows[p]
+                    for j, c in zip(cols, values[start:]):
+                        if c:
+                            vec = [add(a, mul(c, b)) for a, b in zip(vec, rows[j])]
+                    start += len(cols)
+                    equations.extend(vec)
+                system.append(equations)
+            if _rank_of_rows(system, field, stop_at=k) < k:
+                return True
+    return False
+
+
 def iter_projective_ranks(
     basis: Sequence[SupportedMatrix],
 ) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -758,7 +871,16 @@ def estimate_density(
     of F_q[F] in which every nonzero matrix has rank >= d.
 
     Seeded and sequential, hence reproducible; the report names the
-    generator algorithm alongside the seed.
+    generator algorithm alongside the seed.  Each trial decides its
+    sampled subspace exactly, on the route with the smaller count,
+    chosen once per call: the dual route's [n', n'-d+1]_q subspaces U,
+    n' = min(n, m), or the scan's (q^k - 1)/(q - 1) projective points.
+    Both routes ask whether some nonzero coefficient vector gives a
+    matrix of rank < d, which is the question about the span's nonzero
+    elements because sample_subspace always returns an independent
+    basis.  Neither draws randomness, so the choice leaves the random
+    stream and the hits unchanged.  The budget applies to the point
+    count either way.
     """
     if trials < 1:
         raise HypothesisViolation("trials must be positive")
@@ -767,13 +889,16 @@ def estimate_density(
     # each trial's sample_subspace applies the budget resolved here, so
     # max_combinations governs the sampling as well as the scan
     budget = _check_projective_budget(q, k, max_combinations, " per trial")
+    dual = _dual_is_cheaper(diagram, d, k, q)
     rng = random.Random(seed)
     hits = 0
     for _ in range(trials):
         basis = sample_subspace(diagram, q, k, rng=rng, max_combinations=budget)
-        scan = _iter_projective_rows(basis)
-        if d == 1 or _first_witness(scan, basis[0].field, d)[1] is None:
-            hits += 1
+        if dual:
+            hits += not _has_rank_below_dual(basis, d)
+        else:
+            scan = _iter_projective_rows(basis)
+            hits += _first_witness(scan, basis[0].field, d)[1] is None
     lo, hi = _wilson_interval(hits, trials)
     return DensityEstimate(
         diagram, d, k, q, trials, hits, hits / trials, lo, hi, seed, PRNG_NAME

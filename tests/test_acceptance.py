@@ -235,9 +235,11 @@ def test_criterion_12_density():
     dense = estimate_density(parse_diagram("[2,3,3,3,4,5]"), 4, 3, 9, 2000, seed=20240)
     assert dense.estimate > 0.8, dense
     assert dense.estimate > 0.5
+    assert dense.hits == 1715
     sparse = estimate_density(parse_diagram("[5,5,5,5,5,5]"), 4, 12, 4, 2000, seed=20240)
     assert sparse.estimate < 0.1, sparse
     assert sparse.estimate < 0.5
+    assert sparse.hits == 0
     elapsed = time.time() - start
     assert elapsed < 600
     _report(

@@ -221,6 +221,19 @@ def test_huge_prime_q_exit_code(capsys, command):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("command", [
+    ["ball", "[2,2]", "-r", "1"],
+    ["exist-bound", "[2,2]", "-d", "2", "-k", "1"],
+])
+def test_polynomial_route_at_huge_prime_q(capsys, command):
+    import time
+
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *command, "-q", str(2**61 - 1))
+    assert code == 0 and out.strip()
+    assert time.perf_counter() - start < 1.0
+
+
 def test_parser_carries_no_state_between_calls(capsys):
     from rookbound.cli import build_parser
 

@@ -1,6 +1,7 @@
 """Finite fields, supported matrices, censuses, sampling."""
 
 import itertools
+import math
 import os
 
 import pytest
@@ -72,6 +73,70 @@ def test_prime_field_is_mod_p():
         for b in range(5):
             assert f.add(a, b) == (a + b) % 5
             assert f.mul(a, b) == (a * b) % 5
+
+
+def _trial_division_prime_power(q):
+    """(p, k) with q = p**k by trial division up to sqrt(q), else None."""
+    if q < 2:
+        return None
+    p = next((c for c in range(2, math.isqrt(q) + 1) if q % c == 0), q)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None
+
+
+def test_prime_power_matches_trial_division():
+    for q in range(10**5):
+        want = _trial_division_prime_power(q)
+        assert is_prime_power(q) == (want is not None), q
+        if want is not None:
+            assert gfmatrix.factor_prime_power(q) == want
+
+
+@pytest.mark.parametrize(
+    "composite",
+    [
+        561,  # Carmichael numbers
+        41041,
+        825265,
+        # strong pseudoprime to every prime base up to 37: only 41 catches it
+        318665857834031151167461,
+    ],
+)
+def test_pseudoprimes_refused(composite):
+    with pytest.raises(ValueError, match="is not a prime power$"):
+        gfmatrix.factor_prime_power(composite)
+
+
+def test_prime_power_of_a_large_prime():
+    mersenne = 2**61 - 1
+    assert gfmatrix.factor_prime_power(mersenne) == (mersenne, 1)
+    assert gfmatrix.factor_prime_power(mersenne**2) == (mersenne, 2)
+    assert not is_prime_power(mersenne * (2**31 - 1))
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        2**89 - 1,  # prime, beyond the exact Miller-Rabin range
+        (2**89 - 1) ** 2,
+        # strong pseudoprime to all 13 bases: passing them is not trusted
+        gfmatrix._MR_EXACT_BELOW,
+    ],
+)
+def test_prime_power_beyond_the_exact_range_refused(q):
+    with pytest.raises(ValueError, match="range where primality is exact"):
+        gfmatrix.factor_prime_power(q)
+
+
+def test_field_table_cache_is_bounded():
+    powers = [q for q in range(2, 200) if is_prime_power(q)][:40]
+    assert len(powers) == 40
+    for q in powers:
+        field_table(q)
+    assert field_table.cache_info().currsize <= 32
 
 
 def test_field_table_is_cached_and_deterministic():

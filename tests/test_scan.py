@@ -1,10 +1,12 @@
-"""The one projective scan against an independent oracle.
+"""The projective scan and the dual (kernel) route against oracles.
 
 The oracle walks all q^k coefficient vectors, sums each combination
 with the field operations directly and ranks it by its nonzero minors.
 It shares no code with the combination builder, the scan or the
-elimination kernel.  min_rank, both modes of verify_space and
-estimate_density must agree with it.
+elimination kernel.  min_rank, both modes of verify_space,
+estimate_density and the dual route's decision must agree with it; on
+boards too large for the minors, the dual route must agree with the
+scan.
 """
 
 import itertools
@@ -25,6 +27,13 @@ from rookbound import (
     verify_space,
 )
 from rookbound.construction import ConstructedSpace
+from rookbound.gfmatrix import (
+    _dual_is_cheaper,
+    _first_witness,
+    _has_rank_below_dual,
+    _iter_projective_rows,
+)
+from conftest import all_diagrams
 
 QS = (2, 3, 4, 5, 9)
 BOARDS = [f for n in range(1, 4) for m in range(1, 4) for f in enumerate_diagrams(n, m)]
@@ -111,6 +120,9 @@ def _check_against_oracle(basis, d):
     )
     assert report.basis_independent == independent
     assert report.ok == (coeffs is None and independent)
+    # the dual route decides the same question, for dependent bases too
+    if d <= min(first.diagram.n, first.diagram.m):
+        assert _has_rank_below_dual(basis, d) == (coeffs is not None)
 
 
 @st.composite
@@ -160,3 +172,63 @@ def test_density_trial_matches_oracle(q, diagram, k, d, seed):
     basis = sample_subspace(diagram, q, k, seed=seed)
     want = 0 if any(rank < d for _, rank in _oracle_ranks(basis)) else 1
     assert estimate_density(diagram, d, k, q, 1, seed=seed).hits == want
+
+
+BOARDS_4 = list(all_diagrams(4, 4))
+
+
+@given(
+    st.sampled_from(QS),
+    st.sampled_from(BOARDS_4),
+    st.integers(1, 4),
+    st.data(),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=200, deadline=None)
+def test_dual_route_matches_scan(q, diagram, k, data, seed):
+    """Called directly on both sides of the dispatch, boards with m < n
+    included (they are transposed)."""
+    k = min(k, diagram.size)
+    short = min(diagram.n, diagram.m)
+    d = data.draw(st.integers(2, max(2, short)))
+    basis = sample_subspace(diagram, q, k, seed=seed)
+    if d > short:
+        assert not _dual_is_cheaper(diagram, d, k, q)
+        return
+    scan = _iter_projective_rows(basis)
+    want = _first_witness(scan, basis[0].field, d)[1] is not None
+    assert _has_rank_below_dual(basis, d) == want
+
+
+def test_dual_route_works_on_the_short_side(monkeypatch):
+    """On a 4 x 2 board the route transposes and visits the [2, 1]_2 = 3
+    lines of GF(2)^2, not the [4, 3]_2 = 15 hyperplanes of GF(2)^4."""
+    from rookbound import gfmatrix
+
+    field = field_table(2)
+    identity = SupportedMatrix.from_cells(field, parse_diagram("[4,4]"), {(1, 1): 1, (2, 2): 1})
+    systems = []
+    rank_of_rows = gfmatrix._rank_of_rows
+
+    def counted(rows, *args, **kwargs):
+        systems.append(len(rows))
+        return rank_of_rows(rows, *args, **kwargs)
+
+    monkeypatch.setattr(gfmatrix, "_rank_of_rows", counted)
+    assert not _has_rank_below_dual([identity], 2)
+    assert len(systems) == 3
+
+
+@pytest.mark.parametrize(
+    "board, d, k, q, dual",
+    [
+        ("[5,5,5,5,5,5]", 4, 12, 4, True),  # 5,797 subspaces U, 5,592,405 points
+        ("[2,3,3,3,4,5]", 4, 3, 9, False),  # 605,242 subspaces U, 91 points
+        ("[1,1,1]", 2, 2, 2, False),  # d > n' = 1
+        ("[3,3]", 3, 3, 2, False),  # d > n' = 2, m < n
+        ("[3,3]", 2, 3, 2, True),  # 3 subspaces U, 7 points
+    ],
+)
+def test_dispatch_picks_the_smaller_count(board, d, k, q, dual):
+    assert _dual_is_cheaper(parse_diagram(board), d, k, q) == dual
+
